@@ -19,24 +19,21 @@
 //!                solver implementations (see DESIGN.md §8 on schedule
 //!                sensitivity)
 //!   probe scale  <nodes> <jobs> <gb> [seed] [--budget-s S]
-//!                [--min-attempts N] [--out PATH]
+//!                [--min-attempts N]
 //!                — weak-scaling hot-path probe: the same concurrent job mix
 //!                at 64, 256, and <nodes> workers (points ≤ <nodes>), run in
 //!                parallel through the sweep pool. Prints fluid_work/events
 //!                and polls/events per point and their drift vs the smallest
-//!                point, and appends labeled rows (nodes/attempts columns)
-//!                to BENCH_wallclock.json. With --budget-s, exits non-zero
-//!                if any point's wall time exceeds the budget (CI smoke).
-//!   probe service [nodes] [jobs] [seed] [--budget-s S] [--out PATH]
-//!                [--hist-dir DIR]
+//!                point. With --budget-s, exits non-zero if any point's
+//!                wall time exceeds the budget (CI smoke).
+//!   probe service [nodes] [jobs] [seed] [--budget-s S] [--hist-dir DIR]
 //!                — open-arrival multi-tenant service probe: the canonical
 //!                two-tenant mix (interactive Poisson mice + diurnal batch
 //!                elephants) under FIFO and capacity+preemption. Gates:
 //!                every job finishes, state drains, the guaranteed tenant's
 //!                p99 beats FIFO, and a replay run is trace-hash identical.
-//!                Appends per-tenant latency-percentile rows to
-//!                BENCH_wallclock.json; with --hist-dir also writes tenant
-//!                latency jsonl and tenant heatmap artifacts.
+//!                With --hist-dir also writes tenant latency jsonl and
+//!                tenant heatmap artifacts.
 //!   probe chaos  [nodes] [jobs] [gb] [seed] [--plans N] [--budget-s S]
 //!                — deterministic chaos campaign: N seed-derived fault
 //!                plans (plan 0 is always the mid-map-wave kill storm)
@@ -244,10 +241,20 @@ fn grid(args: &[String]) {
     }
 }
 
+/// Host cost and control-plane size of one weak-scaling point.
+struct ScalePoint {
+    nodes: usize,
+    wall_s: f64,
+    events: u64,
+    polls: u64,
+    fluid_work: u64,
+    attempts: usize,
+}
+
 /// One weak-scaling point: `jobs` concurrent TeraSort jobs through a
 /// persistent OSU-IB runtime on `nodes` workers, total dataset scaled so
 /// per-node load matches the target point.
-fn scale_point(nodes: usize, jobs: usize, gb_total: f64, seed: u64) -> rmr_bench::trajectory::Run {
+fn scale_point(nodes: usize, jobs: usize, gb_total: f64, seed: u64) -> ScalePoint {
     use rmr_des::resource::fluid::FLUID_ADVANCE_WORK;
     let system = System::OsuIb;
     let testbed = Testbed::compute(nodes, 1);
@@ -319,17 +326,14 @@ fn scale_point(nodes: usize, jobs: usize, gb_total: f64, seed: u64) -> rmr_bench
         "  [scale n{nodes}] jobs={jobs} maps={m} reduces={rd} \
          failed_maps={fm} failed_reduces={fr}"
     );
-    let mut run = rmr_bench::trajectory::Run::blank("scale", format!("n{nodes}_j{jobs}"));
-    run.wall_s = wall_s;
-    run.sim_s = results.iter().map(|r| r.end_s).fold(0.0, f64::max);
-    run.events = sim.events_fired();
-    run.polls = sim.polls();
-    run.fluid_work = fluid_work;
-    run.items = jobs as u64;
-    run.nodes = nodes as u64;
-    run.attempts = attempts as u64;
-    run.shuffle_bytes = results.iter().map(|r| r.shuffled_bytes).sum();
-    run
+    ScalePoint {
+        nodes,
+        wall_s,
+        events: sim.events_fired(),
+        polls: sim.polls(),
+        fluid_work,
+        attempts,
+    }
 }
 
 /// Weak-scaling sweep: see module docs.
@@ -339,8 +343,7 @@ fn scale(args: &[String]) {
     let gb: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100.0);
     let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
     let mut budget_s: Option<f64> = None;
-    let mut min_attempts: Option<u64> = None;
-    let mut out_path = "BENCH_wallclock.json".to_string();
+    let mut min_attempts: Option<usize> = None;
     let mut i = 3;
     while i < args.len() {
         match args[i].as_str() {
@@ -351,10 +354,6 @@ fn scale(args: &[String]) {
             "--min-attempts" => {
                 i += 1;
                 min_attempts = Some(args.get(i).expect("--min-attempts value").parse().unwrap());
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out value").clone();
             }
             _ => {}
         }
@@ -427,8 +426,6 @@ fn scale(args: &[String]) {
         "max upward hot-path ratio drift vs n{}: {:.3}x (gate: 1.20x)",
         base.nodes, max_drift
     );
-    rmr_bench::trajectory::write_results(&out_path, "scale", false, &runs);
-    println!("appended {} scale rows to {out_path}", runs.len());
     let mut too_small = false;
     if let Some(min) = min_attempts {
         let got = runs.last().map_or(0, |r| r.attempts);
@@ -454,14 +451,13 @@ fn scale(args: &[String]) {
 ///  4. a second run of the capacity sim is trace-hash identical,
 ///  5. optional wall budget per run (`--budget-s`).
 fn service(args: &[String]) {
-    use rmr_bench::service::{service_rows, service_spec};
+    use rmr_bench::service::service_spec;
     use rmr_load::{run_service, ServicePolicy};
 
     let nodes: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(64);
     let jobs: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1000);
     let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
     let mut budget_s: Option<f64> = None;
-    let mut out_path = "BENCH_wallclock.json".to_string();
     let mut hist_dir: Option<String> = None;
     let mut i = 3;
     while i < args.len() {
@@ -469,10 +465,6 @@ fn service(args: &[String]) {
             "--budget-s" => {
                 i += 1;
                 budget_s = Some(args.get(i).expect("--budget-s value").parse().unwrap());
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out value").clone();
             }
             "--hist-dir" => {
                 i += 1;
@@ -599,15 +591,6 @@ fn service(args: &[String]) {
         }
     }
 
-    let mut rows = service_rows(&fifo);
-    rows.extend(service_rows(&cap));
-    for r in &mut rows {
-        if r.case.ends_with(":all") {
-            r.wall_s = wall_s;
-        }
-    }
-    rmr_bench::trajectory::write_results(&out_path, "service", false, &rows);
-    println!("appended {} service rows to {out_path}", rows.len());
     if failed {
         std::process::exit(1);
     }

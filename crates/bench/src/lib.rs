@@ -16,7 +16,6 @@ use rmr_cluster::{
 pub mod chaos;
 pub mod service;
 pub mod sweep;
-pub mod trajectory;
 
 /// A quantified claim from the paper's text, checked against measurements.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //! single-threaded simulations in parallel, with deterministic output
 //! ordering.
 //!
-//! Every harness sweep (figure grids, wall-clock scenarios, scale probes)
+//! Every harness sweep (figure grids, the scale, service and chaos probes)
 //! funnels through [`sweep`]: `n` work items are claimed off a shared atomic
 //! counter by `threads` scoped workers, and each result lands in its item's
 //! own slot. Which *thread* runs which item varies run to run; which *slot*

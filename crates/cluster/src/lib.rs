@@ -8,7 +8,6 @@ pub mod runner;
 pub mod testbed;
 
 pub use runner::{
-    format_table, run_all, run_experiment, run_experiment_traced, run_multijob, Experiment,
-    MultiJobExperiment, RunRecord,
+    format_table, run_all, run_experiment, run_experiment_traced, Experiment, RunRecord,
 };
 pub use testbed::{tuned_block_size, tuned_conf, Bench, System, Testbed};

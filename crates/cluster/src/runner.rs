@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rmr_core::cluster::Cluster;
-use rmr_core::{run_job, JobResult, Runtime, SchedulePolicy};
+use rmr_core::{run_job, JobResult};
 use rmr_hdfs::HdfsConfig;
 use rmr_workloads::{randomwriter, sort_spec, teragen, terasort_spec};
 
@@ -402,102 +402,6 @@ pub fn run_experiment_traced(exp: &Experiment) -> (RunRecord, u64) {
     (RunRecord::from_result(exp, &res), sim.trace_hash())
 }
 
-/// A multi-job experiment point: `jobs` identical TeraSort jobs through one
-/// persistent runtime, either submitted all at once (concurrent, the slots
-/// are shared) or joined one after another (sequential baseline).
-#[derive(Debug, Clone)]
-pub struct MultiJobExperiment {
-    /// Experiment id, echoed into each per-job record as `{id}-j{n}`.
-    pub id: String,
-    /// Which system.
-    pub system: System,
-    /// Cluster shape.
-    pub testbed: Testbed,
-    /// How many jobs to submit.
-    pub jobs: usize,
-    /// Dataset size per job, GB.
-    pub data_gb_per_job: f64,
-    /// How the control plane orders jobs competing for slots.
-    pub policy: SchedulePolicy,
-    /// Submit everything up front (true) or join each job before the next.
-    pub concurrent: bool,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-/// Runs a multi-job experiment; returns one record per job, in submission
-/// order, with per-job queue wait and slot occupancy filled in.
-pub fn run_multijob(exp: &MultiJobExperiment) -> Vec<RunRecord> {
-    let sim = rmr_des::Sim::new(exp.seed);
-    let cluster = Cluster::build_with_topology(
-        &sim,
-        exp.system.fabric(),
-        exp.testbed.topology,
-        &exp.testbed.node_specs(),
-        HdfsConfig {
-            block_size: tuned_block_size(exp.system, Bench::TeraSort),
-            replication: 1,
-            packet_size: 4 << 20,
-        },
-    );
-    let conf = tuned_conf(exp.system, Bench::TeraSort, &exp.testbed);
-    let bytes = (exp.data_gb_per_job * (1u64 << 30) as f64) as u64;
-    let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let r2 = Rc::clone(&results);
-    let c2 = cluster.clone();
-    let jobs = exp.jobs;
-    let concurrent = exp.concurrent;
-    let policy = exp.policy.clone();
-    sim.spawn_named("multijob-driver", async move {
-        for i in 0..jobs {
-            teragen(&c2, &format!("/mj/in{i}"), bytes, false).await;
-        }
-        let rt = Runtime::with_policy(&c2, conf.clone(), policy);
-        if concurrent {
-            let ids: Vec<_> = (0..jobs)
-                .map(|i| {
-                    rt.submit(
-                        conf.clone(),
-                        terasort_spec(&format!("/mj/in{i}"), &format!("/mj/out{i}")),
-                    )
-                })
-                .collect();
-            for id in ids {
-                let res = rt.join(id).await;
-                r2.borrow_mut().push(res);
-            }
-        } else {
-            for i in 0..jobs {
-                let id = rt.submit(
-                    conf.clone(),
-                    terasort_spec(&format!("/mj/in{i}"), &format!("/mj/out{i}")),
-                );
-                let res = rt.join(id).await;
-                r2.borrow_mut().push(res);
-            }
-        }
-    })
-    .detach();
-    sim.run();
-    let results = results.borrow();
-    assert_eq!(results.len(), exp.jobs, "multijob {} hung", exp.id);
-    results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| {
-            let point = Experiment::new(
-                format!("{}-j{i}", exp.id),
-                Bench::TeraSort,
-                exp.system,
-                exp.testbed.clone(),
-                exp.data_gb_per_job,
-                exp.seed,
-            );
-            RunRecord::from_result(&point, res)
-        })
-        .collect()
-}
-
 /// Runs experiments in parallel across `threads` OS threads, preserving
 /// input order in the output.
 pub fn run_all(experiments: &[Experiment], threads: usize) -> Vec<RunRecord> {
@@ -668,41 +572,6 @@ mod tests {
         assert_eq!(rec.schema, 1);
         assert_eq!(rec.id, "old");
         assert_eq!(rec.duration_s, 42.0);
-    }
-
-    #[test]
-    fn concurrent_multijob_shares_the_cluster() {
-        let exp = MultiJobExperiment {
-            id: "mj".to_string(),
-            system: System::OsuIb,
-            testbed: Testbed::compute(2, 1),
-            jobs: 2,
-            data_gb_per_job: 0.25,
-            policy: SchedulePolicy::Fifo,
-            concurrent: true,
-            seed: 7,
-        };
-        let recs = run_multijob(&exp);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].id, "mj-j0");
-        assert_eq!(recs[1].id, "mj-j1");
-        for r in &recs {
-            assert!(r.duration_s > 0.0);
-            assert!(r.queue_wait_s >= 0.0);
-            assert!(r.slot_occupancy > 0.0 && r.slot_occupancy <= 1.0);
-        }
-        // The sequential variant of the same point must take at least as
-        // long end to end as the concurrent one (no slot sharing).
-        let seq = run_multijob(&MultiJobExperiment {
-            concurrent: false,
-            ..exp
-        });
-        let seq_end: f64 = seq.iter().map(|r| r.duration_s).sum();
-        let conc_last = recs.last().unwrap().duration_s;
-        assert!(
-            conc_last <= seq_end + 1e-6,
-            "concurrent makespan {conc_last} vs sequential {seq_end}"
-        );
     }
 
     #[test]

@@ -192,9 +192,9 @@ proptest! {
     }
 }
 
-/// Runs the wallclock churn pattern at size `n`: staggered consumers each
-/// doing several transfers on one shared resource, so completions happen
-/// under persistently high concurrency. Returns (solver work, completions).
+/// Runs a churn pattern at size `n`: staggered consumers each doing
+/// several transfers on one shared resource, so completions happen under
+/// persistently high concurrency. Returns (solver work, completions).
 fn churn_work(n: usize) -> (u64, u64) {
     const ROUNDS: usize = 4;
     let sim = Sim::new(7);

@@ -1,10 +1,10 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The workspace is deliberately serde-free (offline container, vendored
-//! shims only) and the flat key/value scanner in `rmr_cluster::runner` cannot
-//! handle nested documents, so the Chrome-trace validator gets its own tiny
-//! full parser. It accepts strict JSON, keeps object keys in insertion-free
-//! `BTreeMap` order, and reports errors with a byte offset.
+//! The workspace is deliberately serde-free (vendored shims only), so the
+//! Chrome-trace validator and `perfbench`'s trace and report checks share
+//! this small full parser. It accepts strict JSON, keeps object keys in
+//! sorted `BTreeMap` order, reports errors with a byte offset, and runs in
+//! time linear in the document length.
 
 use std::collections::BTreeMap;
 
@@ -57,7 +57,11 @@ impl Json {
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -68,6 +72,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -210,14 +215,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, which never occurs inside a multi-byte
+                    // UTF-8 sequence, so the run of the `&str` input ends on
+                    // a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -283,6 +288,42 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn large_documents_decode_multibyte_text_next_to_escapes() {
+        // 2-, 3- and 4-byte characters on both sides of escapes, in keys and
+        // values; the document is big enough that a per-character rescan of
+        // the remaining input would not finish.
+        let raw = |i: usize| {
+            (
+                format!("k{i}é\\n€\\\"😀"),
+                format!("\\u00e9😀\\\\€é\\t{i}€"),
+            )
+        };
+        let decoded = |i: usize| (format!("k{i}é\n€\"😀"), format!("é😀\\€é\t{i}€"));
+        let n = 50_000;
+        let mut doc = String::from("[");
+        for i in 0..n {
+            let (k, v) = raw(i);
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("{{\"{k}\":\"{v}\",\"é{i}\":\"😀\"}}"));
+        }
+        doc.push(']');
+        assert!(doc.len() >= 2 << 20, "document is only {} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), n);
+        for (i, item) in items.iter().enumerate() {
+            let (k, val) = decoded(i);
+            assert_eq!(item.get(&k).and_then(Json::as_str), Some(val.as_str()));
+            assert_eq!(
+                item.get(&format!("é{i}")).and_then(Json::as_str),
+                Some("😀")
+            );
+        }
     }
 
     #[test]

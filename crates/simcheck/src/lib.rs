@@ -317,8 +317,7 @@ pub const DENY_ROOTS: [&str; 7] = [
 /// carry inline justifications instead of being exempt from scanning.
 /// `crates/simcheck/tests` is excluded: its fixture corpus is hazardous on
 /// purpose.
-pub const WARN_ROOTS: [&str; 11] = [
-    "crates/bench/benches",
+pub const WARN_ROOTS: [&str; 10] = [
     "crates/bench/src",
     "crates/cluster/src",
     "crates/core/tests",

@@ -2,7 +2,7 @@
 //! planes, with output validation.
 
 use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{run_job, run_job_with_faults, FaultPlan, JobConf, JobResult, ShuffleKind};
+use rmr_core::{run_job, run_job_with_faults, FaultPlan, JobConf, JobResult, Runtime, ShuffleKind};
 use rmr_des::Sim;
 use rmr_hdfs::HdfsConfig;
 use rmr_net::FabricParams;
@@ -125,6 +125,70 @@ fn synthetic_terasort_runs_all_engines() {
         assert_eq!(res.output_bytes, res.input_bytes, "{kind:?}");
         assert_eq!(res.maps, (res.input_bytes as usize).div_ceil(4 << 20));
     }
+}
+
+/// Two TeraSort jobs through one persistent OSU-IB runtime, either both
+/// submitted up front (`concurrent`, the slots are shared) or each joined
+/// before the next is submitted.
+fn run_two_jobs(concurrent: bool) -> Vec<JobResult> {
+    let sim = Sim::new(7);
+    let cluster = small_cluster(&sim, 2, fabric_for(ShuffleKind::OsuIb));
+    let conf = small_conf(ShuffleKind::OsuIb, 2);
+    let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let r2 = std::rc::Rc::clone(&results);
+    sim.spawn(async move {
+        for i in 0..2 {
+            teragen(&cluster, &format!("/in{i}"), 32 << 20, false).await;
+        }
+        let rt = Runtime::start(&cluster, conf.clone());
+        let submit = |i: usize| {
+            rt.submit(
+                conf.clone(),
+                terasort_spec(&format!("/in{i}"), &format!("/out{i}")),
+            )
+        };
+        if concurrent {
+            let ids = [submit(0), submit(1)];
+            for id in ids {
+                let res = rt.join(id).await;
+                r2.borrow_mut().push(res);
+            }
+        } else {
+            for i in 0..2 {
+                let res = rt.join(submit(i)).await;
+                r2.borrow_mut().push(res);
+            }
+        }
+    })
+    .detach();
+    sim.run();
+    let out = results.borrow().clone();
+    assert_eq!(out.len(), 2, "concurrent={concurrent}: a job hung");
+    out
+}
+
+#[test]
+fn concurrent_jobs_share_the_cluster() {
+    let conc = run_two_jobs(true);
+    for r in &conc {
+        assert!(r.duration_s > 0.0);
+        assert!(r.queue_wait_s >= 0.0, "queue wait {}", r.queue_wait_s);
+        assert!(
+            r.slot_occupancy > 0.0 && r.slot_occupancy <= 1.0,
+            "slot occupancy {}",
+            r.slot_occupancy
+        );
+    }
+    // The sequential variant of the same point must take at least as long
+    // end to end as the concurrent one (no slot sharing).
+    let seq_sum: f64 = run_two_jobs(false).iter().map(|r| r.duration_s).sum();
+    let start = conc.iter().map(|r| r.start_s).fold(f64::INFINITY, f64::min);
+    let end = conc.iter().map(|r| r.end_s).fold(0.0, f64::max);
+    let makespan = end - start;
+    assert!(
+        makespan <= seq_sum + 1e-6,
+        "concurrent makespan {makespan} vs sequential {seq_sum}"
+    );
 }
 
 #[test]
